@@ -8,11 +8,13 @@ package experiments
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"time"
 
 	"goldmine/internal/serve"
@@ -64,7 +66,9 @@ func serveBenchSpec(i int) serve.JobSpec {
 }
 
 // runServePass submits n jobs against s and waits for them all, returning
-// per-job latencies in submit order.
+// per-job latencies in submit order. Every job is waited on concurrently, so
+// its latency runs from its submit to its own finish, not to the moment an
+// in-order waiter got round to it.
 func runServePass(s *serve.Server, n int) ([]time.Duration, []string, error) {
 	ids := make([]string, n)
 	starts := make([]time.Time, n)
@@ -77,15 +81,25 @@ func runServePass(s *serve.Server, n int) ([]time.Duration, []string, error) {
 		ids[i] = j.ID
 	}
 	lats := make([]time.Duration, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
 	for i, id := range ids {
-		j, err := s.WaitJob(context.Background(), id)
-		if err != nil {
-			return nil, nil, fmt.Errorf("wait %s: %w", id, err)
-		}
-		if j.State != serve.JobDone {
-			return nil, nil, fmt.Errorf("job %s ended %s (%s)", id, j.State, j.Err)
-		}
-		lats[i] = time.Since(starts[i])
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			j, err := s.WaitJob(context.Background(), id)
+			lats[i] = time.Since(starts[i])
+			if err == nil && j.State != serve.JobDone {
+				err = fmt.Errorf("ended %s (%s)", j.State, j.Err)
+			}
+			if err != nil {
+				errs[i] = fmt.Errorf("job %s: %w", id, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, nil, err
 	}
 	return lats, ids, nil
 }

@@ -17,8 +17,9 @@
 //     quarantined after a capped number of attempts — a poisoned job can
 //     never wedge a worker loop.
 //   - Durable jobs: every transition (submit, start, done, fail, quarantine,
-//     cancel, checkpoint) is appended synchronously to a JSONL write-ahead
-//     journal (the telemetry wire format, see telemetry.EncodeEvent). A
+//     cancel, checkpoint) is committed (written and fsynced) to a
+//     write-ahead journal, an internal/journal log of telemetry-format
+//     records (see telemetry.EncodeEvent). A
 //     killed-and-restarted daemon replays the journal: completed jobs are
 //     re-served from their recorded artifacts without recomputation, pending
 //     jobs resume in submit order.

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -217,5 +218,43 @@ func TestHTTPStatsAndList(t *testing.T) {
 	dresp.Body.Close()
 	if dv["state"] != "done" {
 		t.Fatalf("cancel of done job yielded state %v", dv["state"])
+	}
+}
+
+// TestStatszReportsWALWriteFailures: a WAL that stops taking writes under a
+// running daemon shows on /statsz, not only as a tracer event.
+func TestStatszReportsWALWriteFailures(t *testing.T) {
+	cfg := testConfig(okRunner)
+	cfg.WALPath = filepath.Join(t.TempDir(), "wal.jsonl")
+	s := mustServer(t, cfg)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	// The daemon cannot shut down cleanly over a closed log; Kill skips the
+	// drain record.
+	defer s.Kill()
+
+	if err := s.wal.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, m := postJob(t, ts, `{"tenant":"t1","design":"arbiter2"}`)
+	if _, err := http.Get(ts.URL + "/v1/jobs/" + m["id"].(string) + "?wait=1"); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(ts.URL + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st map[string]any
+	_ = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	// submit, start and done all failed to commit.
+	if dropped, _ := st["wal_dropped"].(float64); dropped < 3 {
+		t.Errorf("wal_dropped = %v, want >= 3", st["wal_dropped"])
+	}
+	if msg, _ := st["wal_persist_err"].(string); msg == "" {
+		t.Errorf("wal_persist_err missing from /statsz: %v", st)
+	}
+	if st["wal_appends"].(float64) != 0 {
+		t.Errorf("wal_appends = %v, want 0: no record committed", st["wal_appends"])
 	}
 }

@@ -401,7 +401,8 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 }
 
 // walErr surfaces WAL append failures to telemetry without failing the job —
-// a sick disk degrades durability, not service.
+// a sick disk degrades durability, not service. /statsz reports them too
+// (wal_dropped, wal_persist_err).
 func (s *Server) walErr(err error) {
 	if err != nil {
 		s.cfg.Tracer.Event("serve.wal_error", telemetry.String("error", err.Error()))
@@ -759,18 +760,23 @@ type Stats struct {
 	RecoveredDone  int64            `json:"recovered_done"`
 	ResumedPending int64            `json:"resumed_pending"`
 	WALAppends     int64            `json:"wal_appends"`
-	Corpus         corpus.Stats     `json:"corpus"`
+	// WALDropped/WALPersistErr surface job-journal durability loss: records
+	// that never reached the -wal log and the first error. Jobs keep
+	// running; a nonzero count means a restart will not see those records.
+	WALDropped    int64        `json:"wal_dropped,omitempty"`
+	WALPersistErr string       `json:"wal_persist_err,omitempty"`
+	Corpus        corpus.Stats `json:"corpus"`
 	// CorpusDropped/CorpusPersistErr surface append-store durability loss:
 	// entries that never reached the -corpus journal (e.g. disk full) and
 	// the first error. The in-memory corpus keeps serving; a nonzero count
 	// means a restart will forget those entries.
-	CorpusDropped    int64  `json:"corpus_dropped,omitempty"`
-	CorpusPersistErr string `json:"corpus_persist_err,omitempty"`
-	Cache          sched.CacheStats `json:"cache"`
-	CacheHitRate   float64          `json:"cache_hit_rate"`
-	CacheLen       int              `json:"cache_len"`
-	Pool           PoolStats        `json:"pool"`
-	Tenants        []TenantStats    `json:"tenants"`
+	CorpusDropped    int64            `json:"corpus_dropped,omitempty"`
+	CorpusPersistErr string           `json:"corpus_persist_err,omitempty"`
+	Cache            sched.CacheStats `json:"cache"`
+	CacheHitRate     float64          `json:"cache_hit_rate"`
+	CacheLen         int              `json:"cache_len"`
+	Pool             PoolStats        `json:"pool"`
+	Tenants          []TenantStats    `json:"tenants"`
 	// Solver surfaces the SAT search and portfolio counters from the wired
 	// tracer's registry (sat.solves, sat.conflicts, sat.clause_share.*,
 	// mc.portfolio_* ...). Empty when the server runs without a Tracer.
@@ -803,6 +809,10 @@ func (s *Server) Stats() Stats {
 	}
 	if s.wal != nil {
 		st.WALAppends = s.wal.appends.Load()
+		st.WALDropped = s.wal.log.Dropped()
+		if err := s.wal.log.Err(); err != nil {
+			st.WALPersistErr = err.Error()
+		}
 	}
 	st.CorpusDropped = s.corpusStore.Dropped()
 	if err := s.corpusStore.Err(); err != nil {

@@ -95,6 +95,40 @@ func TestWALTornFinalLine(t *testing.T) {
 	}
 }
 
+// TestWALAppendAfterTornTail: a daemon restarted over a torn final line must
+// not weld its next record onto the fragment, or the restart after that
+// fails on a corrupt mid-file line.
+func TestWALAppendAfterTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.jsonl")
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	w, _ := openTestWAL(t, path)
+	must(w.append(walSubmit, &JobSpec{Tenant: "t", Design: "d"}, telemetry.String("id", "j000000")))
+	must(w.close())
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	must(err)
+	_, err = f.WriteString(`{"ts_us":123,"kind":"job","name":"start","att`)
+	must(err)
+	must(f.Close())
+
+	w2, jobs := openTestWAL(t, path)
+	if len(jobs) != 1 {
+		t.Fatalf("replay after torn line = %d jobs, want 1", len(jobs))
+	}
+	must(w2.append(walSubmit, &JobSpec{Tenant: "t", Design: "d2"}, telemetry.String("id", "j000001")))
+	must(w2.append(walStart, nil, telemetry.String("id", "j000001"), telemetry.Int("attempt", 1)))
+	must(w2.close())
+
+	_, jobs = openTestWAL(t, path)
+	if len(jobs) != 2 || jobs[0].ID != "j000000" || jobs[1].ID != "j000001" || jobs[1].State != JobRunning {
+		t.Fatalf("third open = %+v, want j000000 queued and j000001 running", jobs)
+	}
+}
+
 // TestWALMidFileCorruption: a bad line with valid records after it is real
 // corruption, not a torn tail — the open must fail loudly.
 func TestWALMidFileCorruption(t *testing.T) {

@@ -32,14 +32,14 @@
 package stimgen
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
-	"os"
+	"fmt"
 	"sort"
 
 	"goldmine/internal/coverage"
 	"goldmine/internal/holes"
+	"goldmine/internal/journal"
 	"goldmine/internal/mc"
 	"goldmine/internal/rtl"
 	"goldmine/internal/sched"
@@ -354,7 +354,7 @@ func closeAdaptive(ctx context.Context, d *rtl.Design, col *coverage.Collector, 
 	fp := sched.DesignFingerprint(d)
 	dead := map[string]DeadHole{}
 	if opts.DeadFile != "" {
-		loaded, err := loadDeadCorpus(opts.DeadFile, fp)
+		loaded, err := LoadDeadHoles(opts.DeadFile, d)
 		if err != nil {
 			return err
 		}
@@ -501,7 +501,7 @@ func closeAdaptive(ctx context.Context, d *rtl.Design, col *coverage.Collector, 
 
 	if opts.DeadFile != "" && len(newDead) > 0 {
 		sort.Slice(newDead, func(i, j int) bool { return newDead[i].Key < newDead[j].Key })
-		if err := appendDeadCorpus(opts.DeadFile, newDead); err != nil {
+		if err := AppendDeadHoles(opts.DeadFile, newDead); err != nil {
 			return err
 		}
 	}
@@ -662,66 +662,43 @@ type DeadHole struct {
 }
 
 // LoadDeadHoles reads a dead-hole journal and returns the entries recorded
-// for design, keyed by hole key. Callers use it to filter proven-dead points
-// out of hole listings without re-running closure.
+// for design, keyed by hole key. A missing file is an empty corpus.
 func LoadDeadHoles(path string, d *rtl.Design) (map[string]DeadHole, error) {
-	return loadDeadCorpus(path, sched.DesignFingerprint(d))
-}
-
-// loadDeadCorpus reads the dead-hole journal, keeping only design's
-// namespace. A missing file is an empty corpus; a torn final line (a killed
-// writer) is discarded, mirroring the assertion corpus loader.
-func loadDeadCorpus(path, design string) (map[string]DeadHole, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return map[string]DeadHole{}, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
+	fp := sched.DesignFingerprint(d)
 	out := map[string]DeadHole{}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
+	err := journal.Read(path, func(rec []byte) error {
 		var dh DeadHole
-		if json.Unmarshal(sc.Bytes(), &dh) != nil {
-			continue // torn or foreign line: dead entries are re-provable
-		}
-		if dh.Design == design && dh.Key != "" {
-			out[dh.Key] = dh
-		}
-	}
-	return out, sc.Err()
-}
-
-// appendDeadCorpus appends newly-proven entries. The file never ends without
-// a newline after a successful append, so a crash mid-write leaves at most
-// one torn line for the loader to skip.
-func appendDeadCorpus(path string, entries []DeadHole) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if fi, err := f.Stat(); err == nil && fi.Size() > 0 {
-		// Guard against welding onto a torn tail left by a killed writer.
-		buf := make([]byte, 1)
-		if _, err := f.ReadAt(buf, fi.Size()-1); err == nil && buf[0] != '\n' {
-			if _, err := f.Write([]byte("\n")); err != nil {
-				return err
-			}
-		}
-	}
-	var buf []byte
-	for _, e := range entries {
-		line, err := json.Marshal(e)
-		if err != nil {
+		if err := json.Unmarshal(rec, &dh); err != nil {
 			return err
 		}
-		buf = append(buf, line...)
-		buf = append(buf, '\n')
+		if dh.Design == fp && dh.Key != "" {
+			out[dh.Key] = dh
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("dead corpus: %w", err)
 	}
-	_, err = f.Write(buf)
-	return err
+	return out, nil
+}
+
+// AppendDeadHoles commits newly-proven entries to the dead-hole journal at
+// path as one batch, creating the file if missing.
+func AppendDeadHoles(path string, dead []DeadHole) error {
+	log, err := journal.Open(path, func(rec []byte) error {
+		return json.Unmarshal(rec, new(DeadHole))
+	})
+	if err == nil {
+		err = log.Append(len(dead), func(b []byte, i int) ([]byte, error) {
+			raw, err := json.Marshal(dead[i])
+			return append(b, raw...), err
+		})
+		if cerr := log.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("dead corpus: %w", err)
+	}
+	return nil
 }

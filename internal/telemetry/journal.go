@@ -75,7 +75,7 @@ type JSONEvent struct {
 }
 
 // wire is the reference encoding: the drain goroutine writes the same shape
-// via appendEvent (reflection-free), and a test pins the two against each
+// via EncodeEvent (reflection-free), and a test pins the two against each
 // other.
 func (e *Event) wire() (JSONEvent, error) {
 	je := JSONEvent{
@@ -158,7 +158,7 @@ func NewJournal(w io.Writer, buffer int) *Journal {
 func (j *Journal) drain() {
 	// One reusable scratch buffer: the drain goroutine shares the CPU with
 	// the mining loop on small hosts, so events are formatted by direct
-	// append (appendEvent) rather than reflection-driven encoding/json —
+	// append (EncodeEvent) rather than reflection-driven encoding/json —
 	// same wire shape as JSONEvent, a fraction of the cost.
 	defer close(j.done)
 	buf := make([]byte, 0, 512)
@@ -167,8 +167,9 @@ func (j *Journal) drain() {
 			return
 		}
 		var err error
-		buf, err = appendEvent(buf[:0], &e)
+		buf, err = EncodeEvent(buf[:0], &e)
 		if err == nil {
+			buf = append(buf, '\n')
 			_, err = j.w.Write(buf)
 		}
 		if err != nil {
@@ -179,18 +180,13 @@ func (j *Journal) drain() {
 	}
 }
 
-// EncodeEvent formats e as one JSONL line appended to b, producing exactly
-// the JSONEvent wire shape (field set, omitempty behaviour) without
-// reflection. Exported so other JSONL logs — the serve package's durable job
-// journal — reuse the same encoder and wire format as the telemetry journal;
-// the inverse is a plain json.Unmarshal into JSONEvent.
+// EncodeEvent formats e as one JSON object appended to b, without the
+// newline, producing exactly the JSONEvent wire shape (field set, omitempty
+// behaviour) without reflection. The durable logs of internal/journal — the
+// serve job WAL and the corpus — use it for their records, so they share the
+// telemetry journal's wire format; the inverse is a plain json.Unmarshal
+// into JSONEvent.
 func EncodeEvent(b []byte, e *Event) ([]byte, error) {
-	return appendEvent(b, e)
-}
-
-// appendEvent formats e as one JSONL line into b, producing exactly the
-// JSONEvent wire shape (field set, omitempty behaviour) without reflection.
-func appendEvent(b []byte, e *Event) ([]byte, error) {
 	b = append(b, `{"ts_us":`...)
 	b = strconv.AppendInt(b, e.TS.UnixMicro(), 10)
 	b = append(b, `,"kind":`...)
@@ -235,7 +231,7 @@ func appendEvent(b []byte, e *Event) ([]byte, error) {
 		b = append(b, `,"data":`...)
 		b = append(b, raw...)
 	}
-	return append(b, '}', '\n'), nil
+	return append(b, '}'), nil
 }
 
 // appendJSONString appends s as a JSON string literal. Bytes >= 0x20 other

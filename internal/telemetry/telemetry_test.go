@@ -299,9 +299,9 @@ func TestAppendEventMatchesWire(t *testing.T) {
 			Data: map[string]int{"a": 1}},
 	}
 	for i, e := range events {
-		got, err := appendEvent(nil, &e)
+		got, err := EncodeEvent(nil, &e)
 		if err != nil {
-			t.Fatalf("event %d: appendEvent: %v", i, err)
+			t.Fatalf("event %d: EncodeEvent: %v", i, err)
 		}
 		ref, err := e.wire()
 		if err != nil {

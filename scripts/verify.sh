@@ -283,6 +283,10 @@ done
 kill -9 "$gd_pid"
 wait "$gd_pid" 2>/dev/null || true
 echo "smoke: daemon SIGKILLed with j000001 mid-flight"
+# A kill can also land mid-append: leave a torn record at the journal's end.
+# The restarted daemon must cut it before appending, or its first record is
+# welded onto the fragment and the restart after that refuses the journal.
+printf '%s' '{"ts_us":1,"kind":"job","name":"done","attrs":{"id":"j0' >>"$tmpbin/jobs.wal"
 
 "$tmpbin/goldmined" -addr 127.0.0.1:0 -addr-file "$tmpbin/addr2" \
     -wal "$tmpbin/jobs.wal" -telemetry "$tmpbin/gd2.jsonl" 2>"$tmpbin/gd2.log" &
@@ -318,6 +322,16 @@ if ! diff "$tmpbin/resumed.art" "$tmpbin/cli4.art"; then
     echo "smoke: FAILED (resumed artifact differs from fresh CLI -canonical run)" >&2
     exit 1
 fi
+# One more job on the restarted daemon: its records follow the torn tail.
+curl -sf -X POST "http://$addr/v1/jobs" -d '{"tenant":"ci","design":"decode"}' >/dev/null
+state=""
+for _ in $(seq 1 300); do
+    state="$(curl -sf "http://$addr/v1/jobs/j000002" | sed -n 's/.*"state": "\([a-z]*\)".*/\1/p')"
+    [ "$state" = "done" ] && break
+    sleep 0.1
+done
+[ "$state" = "done" ] || { echo "smoke: FAILED (post-restart job never finished; state=$state)" >&2; exit 1; }
+curl -sf "http://$addr/v1/jobs/j000002/artifact" >"$tmpbin/post_restart.art"
 # SIGTERM drains: exit 0, and the daemon's telemetry journal validates.
 kill -TERM "$gd_pid"
 if ! wait "$gd_pid"; then
@@ -325,5 +339,33 @@ if ! wait "$gd_pid"; then
     exit 1
 fi
 "$tmpbin/telcheck" "$tmpbin/gd2.jsonl" >/dev/null
-echo "smoke: goldmined recovered the finished job from the journal, resumed the killed one, drained on SIGTERM"
+# Restart again over the journal that went through the torn tail: every
+# artifact is still served, unchanged.
+"$tmpbin/goldmined" -addr 127.0.0.1:0 -addr-file "$tmpbin/addr3" \
+    -wal "$tmpbin/jobs.wal" 2>"$tmpbin/gd3.log" &
+gd_pid=$!
+for _ in $(seq 1 50); do [ -s "$tmpbin/addr3" ] && break; sleep 0.1; done
+if [ ! -s "$tmpbin/addr3" ]; then
+    echo "smoke: FAILED (goldmined did not restart over the torn-tail journal)" >&2
+    cat "$tmpbin/gd3.log" >&2
+    exit 1
+fi
+addr="$(cat "$tmpbin/addr3")"
+for pair in j000000:post_kill j000001:resumed j000002:post_restart; do
+    id="${pair%%:*}"
+    curl -sf "http://$addr/v1/jobs/$id/artifact" >"$tmpbin/final.art" || {
+        echo "smoke: FAILED ($id not served after the second restart)" >&2
+        exit 1
+    }
+    if ! diff "$tmpbin/${pair#*:}.art" "$tmpbin/final.art"; then
+        echo "smoke: FAILED ($id artifact changed across the second restart)" >&2
+        exit 1
+    fi
+done
+kill -TERM "$gd_pid"
+if ! wait "$gd_pid"; then
+    echo "smoke: FAILED (restarted goldmined did not exit 0 on SIGTERM drain)" >&2
+    exit 1
+fi
+echo "smoke: goldmined recovered the finished job from the journal, resumed the killed one, cut a torn tail, served every artifact after a second restart, drained on SIGTERM"
 echo "verify: OK"
